@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-iso bench-iso-large campaign experiments examples vet fmt cover cover-gate fuzz adversary faults serve bench-serve
+.PHONY: all build test race determinism bench bench-iso bench-iso-large campaign experiments examples vet fmt cover cover-gate fuzz adversary faults serve bench-serve
 
 all: build vet test
 
@@ -22,6 +22,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Determinism stress (same invocation as CI): every test that claims
+# bit-exact replay or schedule-independent records, 20 times at 1, 2 and 4
+# procs, so a timing-dependent result fails here instead of intermittently.
+DETERMINISM_TESTS = TestRecordReplayBitExact|TestCampaignDeterminism|TestScheduledDeterminism|TestScheduleRecordReplay|TestExploreViolatingRunReplays|TestWireFaultReplayRoundTrip|TestCrossBackendConformance|TestZooCrossBackendConformance|TestStrategyDeterminism|TestParallelClassesDeterministic
+determinism:
+	$(GO) test -count=20 -cpu 1,2,4 -run '^($(DETERMINISM_TESTS))$$' \
+		./internal/faults ./internal/campaign ./internal/sim ./internal/adversary \
+		./internal/runtime ./internal/zoo ./internal/order
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -29,7 +38,7 @@ bench:
 # EXPERIMENTS.md). Fails if the optimized engine falls below the documented
 # speedup gate over the frozen reference on Analyze(C32). -quick skips the
 # large-family kernels; bench-iso-large measures everything including the
-# 10³–10⁵-node sparse-engine workloads and the worker-pool pairs.
+# 10³–10⁵-node sparse-engine workloads.
 bench-iso:
 	$(GO) run ./cmd/benchiso -quick -o BENCH_iso.json
 
@@ -40,11 +49,11 @@ cover:
 	$(GO) test -cover ./...
 
 # CI's coverage gate: the protocol core, the engine, the fault plane, the
-# sketch layer and the runtime contract must each keep statement coverage
-# at or above 70%.
+# sketch layer, the runtime contract and the protocol zoo must each keep
+# statement coverage at or above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime; do \
+	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \

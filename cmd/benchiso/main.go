@@ -51,22 +51,8 @@ type report struct {
 		MeetsTarget   bool    `json:"meets_target"`
 	} `json:"speedup"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// Large holds the seq-vs-parallel pairs of the large-family kernels.
-	// Interpret parallel speedups against gomaxprocs: with one schedulable
-	// core the pool's speculative sibling exploration costs wall-clock
-	// rather than saving it, and the honest pair shows < 1.
-	Large      []largePair `json:"large,omitempty"`
-	Smoke      bool        `json:"smoke,omitempty"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-}
-
-// largePair compares a sequential large kernel with its 4-worker variant.
-type largePair struct {
-	Kernel          string  `json:"kernel"`
-	SequentialNsOp  float64 `json:"sequential_ns_per_op"`
-	ParallelNsOp    float64 `json:"parallel_ns_per_op"`
-	ParallelWorkers int     `json:"parallel_workers"`
-	Speedup         float64 `json:"speedup"`
+	Smoke      bool          `json:"smoke,omitempty"`
+	GoMaxProcs int           `json:"gomaxprocs"`
 }
 
 func main() {
@@ -96,24 +82,6 @@ func main() {
 		fmt.Printf("%-30s %12.0f ns/op %8d B/op %6d allocs/op (%d iters)\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.Iterations)
 	}
-	for _, p := range []struct{ kernel, seq, par string }{
-		{"CanonicalSparse(C4096)", "CanonicalSparseC4096", "CanonicalSparseC4096Par4"},
-		{"CanonicalSparse(TwinBlowup 32x4 doubled)", "CanonicalSparseTwinBlowup", "CanonicalSparseTwinBlowupPar4"},
-	} {
-		seq, okS := byName[p.seq]
-		par, okP := byName[p.par]
-		if !okS || !okP {
-			continue
-		}
-		lp := largePair{Kernel: p.kernel, SequentialNsOp: seq.NsPerOp, ParallelNsOp: par.NsPerOp, ParallelWorkers: 4}
-		if par.NsPerOp > 0 {
-			lp.Speedup = seq.NsPerOp / par.NsPerOp
-		}
-		rep.Large = append(rep.Large, lp)
-		fmt.Printf("parallel pair %s: %.2fx at 4 workers (gomaxprocs %d)\n",
-			p.kernel, lp.Speedup, rep.GoMaxProcs)
-	}
-
 	ref, opt := byName["AnalyzeC32Reference"], byName["AnalyzeC32"]
 	rep.Speedup.Kernel = "Analyze(C32, homes 0/8/16/24)"
 	rep.Speedup.ReferenceNsOp = ref.NsPerOp

@@ -523,11 +523,10 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 		}
 	}()
 	if !opt.NoAnalysis {
-		an, hit, err := cache.Get(ctx, run.G, run.Homes)
+		an, _, err := cache.Get(ctx, run.G, run.Homes)
 		if err == nil {
 			res.Sizes = an.Sizes
 			res.GCD = an.GCD
-			res.CacheHit = hit
 		} else {
 			an = nil
 		}
@@ -715,10 +714,9 @@ func executeBackendRun(ctx context.Context, index int, run Run, kind ProtocolKin
 		res.Expected = "unsolvable"
 	}
 	if !opt.NoAnalysis {
-		if an, hit, err := cache.Get(ctx, run.G, run.Homes); err == nil {
+		if an, _, err := cache.Get(ctx, run.G, run.Homes); err == nil {
 			res.Sizes = an.Sizes
 			res.GCD = an.GCD
-			res.CacheHit = hit
 		}
 	}
 	rt, err := rtbackend.New(run.Backend)

@@ -270,8 +270,8 @@ func TestSharedCacheAcrossCampaigns(t *testing.T) {
 	if s := shared.Stats(); s.Misses != 1 {
 		t.Errorf("shared cache computed %d analyses across two campaigns, want 1", s.Misses)
 	}
-	if !rep.Results[0].CacheHit {
-		t.Error("run record should mark the analysis as cached")
+	if rep.Summary.CacheHitRate != 1 {
+		t.Errorf("second campaign cache hit rate = %.2f, want 1", rep.Summary.CacheHitRate)
 	}
 }
 

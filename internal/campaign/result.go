@@ -40,11 +40,13 @@ type RunResult struct {
 	Accesses int64  `json:"accesses"`
 	// Ratio is Moves / (r·|E|), the Theorem 3.1 quantity.
 	Ratio float64 `json:"ratio"`
-	// Analysis fields (from the shared cache): ordered class sizes, gcd,
-	// and whether this run's analysis was served from cache.
-	Sizes    []int `json:"sizes,omitempty"`
-	GCD      int   `json:"gcd,omitempty"`
-	CacheHit bool  `json:"cache_hit"`
+	// Analysis fields (from the shared cache): ordered class sizes and
+	// gcd. Whether an analysis was a cache hit is not a per-run fact —
+	// under the coalescing cache, worker interleaving decides which of the
+	// same-key runs pays for it — so hits and misses are counted only in
+	// the Summary.
+	Sizes []int `json:"sizes,omitempty"`
+	GCD   int   `json:"gcd,omitempty"`
 	// Expected is the oracle-predicted outcome ("" when the oracle does not
 	// apply to the protocol); OK reports Outcome == Expected.
 	Expected string `json:"expected,omitempty"`
@@ -146,8 +148,13 @@ type Summary struct {
 	// against; BoundViolations counts runs exceeding it.
 	RatioBound      float64 `json:"ratio_bound"`
 	BoundViolations int     `json:"bound_violations"`
-	// Analysis cache effectiveness. AnalysisMS is the total wall-clock time
-	// spent inside elect.Analyze across cache misses (nondeterministic).
+	// Analysis cache effectiveness, taken as deltas of the cache's own
+	// counters over the campaign (so a shared cache's earlier traffic does
+	// not count): CacheMisses is the number of analyses computed — one per
+	// distinct instance not already cached, absent eviction — and CacheHits
+	// the lookups served from a finished entry or by joining an in-flight
+	// computation. AnalysisMS is the total wall-clock time spent inside
+	// elect.Analyze across cache misses (nondeterministic).
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`

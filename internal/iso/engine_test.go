@@ -1,9 +1,12 @@
 package iso
 
 // Tests of the optimized engine's mechanics: the allocation-free refinement
-// hot path, the explicit leaf budget, and the exported equitable partition.
+// hot path, the explicit leaf budget, cancellation, and the exported
+// equitable partition.
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +27,7 @@ func TestRefineHotPathAllocationFree(t *testing.T) {
 		{"c32-bicolored", FromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
 		{"torus4x4", FromGraph(graph.Torus(4, 4), nil)},
 	} {
-		st := newCanonState(tc.c, 0)
+		st := newCanonState(tc.c)
 		lv := st.level(0)
 		// Warm the scratch buffers once.
 		st.initialPartition(lv)
@@ -103,5 +106,68 @@ func TestCanonicalBudgetUnbounded(t *testing.T) {
 	}
 	if _, err := CanonicalBudget(c, -5); err != nil {
 		t.Fatalf("negative budget failed: %v", err)
+	}
+}
+
+// TestCanonicalOptBudget: Options.MaxLeaves aborts both the dense and the
+// sparse search with ErrLeafBudget exactly like CanonicalBudget, and a
+// generous budget returns the unbudgeted word.
+func TestCanonicalOptBudget(t *testing.T) {
+	g := graph.Hypercube(4)
+	c := FromGraph(g, nil)
+	if _, err := CanonicalOpt(c, Options{MaxLeaves: 2}); !errors.Is(err, ErrLeafBudget) {
+		t.Fatalf("dense tiny budget: got err=%v, want ErrLeafBudget", err)
+	}
+	res, err := CanonicalOpt(c, Options{MaxLeaves: 1 << 20})
+	if err != nil {
+		t.Fatalf("dense generous budget: %v", err)
+	}
+	if !bytes.Equal(res.Word, Canonical(c).Word) {
+		t.Fatal("dense generous budget: wrong word")
+	}
+
+	sp := SparseFromGraph(g, nil)
+	if _, err := CanonicalSparseOpt(sp, Options{MaxLeaves: 2}); !errors.Is(err, ErrLeafBudget) {
+		t.Fatalf("sparse tiny budget: got err=%v, want ErrLeafBudget", err)
+	}
+	sres, err := CanonicalSparseOpt(sp, Options{MaxLeaves: 1 << 20})
+	if err != nil {
+		t.Fatalf("sparse generous budget: %v", err)
+	}
+	if !bytes.Equal(sres.Word, CanonicalSparse(sp).Word) {
+		t.Fatal("sparse generous budget: wrong word")
+	}
+}
+
+// TestCanonicalOptCancel: a canceled context stops the search and surfaces
+// context.Canceled, both when canceled before the search starts and when
+// canceled from another goroutine mid-search.
+func TestCanonicalOptCancel(t *testing.T) {
+	c := FromGraph(graph.BlowupCycle(6, 3), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CanonicalOpt(c, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dense pre-canceled ctx: got err=%v, want context.Canceled", err)
+	}
+	if _, err := CanonicalSparseOpt(SparseFromGraph(graph.BlowupCycle(6, 3), nil), Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sparse pre-canceled ctx: got err=%v, want context.Canceled", err)
+	}
+
+	// Mid-search cancellation races the search: it either finishes first
+	// (err == nil with the right word) or observes the cancellation; it
+	// must not hang or return a wrong word.
+	big := FromGraph(graph.BlowupCycle(8, 4), nil)
+	want := Canonical(big).Word
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	go cancel2()
+	res, err := CanonicalOpt(big, Options{Ctx: ctx2})
+	switch {
+	case err == nil:
+		if !bytes.Equal(res.Word, want) {
+			t.Fatal("race with cancel: completed with wrong word")
+		}
+	case errors.Is(err, context.Canceled):
+	default:
+		t.Fatalf("race with cancel: unexpected error %v", err)
 	}
 }

@@ -27,6 +27,7 @@ package iso
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync/atomic"
 
@@ -228,9 +229,48 @@ func CanonicalBudget(c *Colored, maxLeaves int) (*Result, error) {
 	if c.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
-	st := newCanonState(c, maxLeaves)
+	return canonicalRun(newCanonState(c), Options{MaxLeaves: maxLeaves})
+}
+
+// Options tunes a canonical labeling computation (CanonicalOpt,
+// CanonicalSparseOpt). The zero value is the plain unbudgeted search.
+type Options struct {
+	// MaxLeaves bounds search effort exactly like CanonicalBudget: the
+	// search fails with ErrLeafBudget after visiting MaxLeaves leaves
+	// (<= 0 means unbounded).
+	MaxLeaves int
+	// Ctx, when non-nil, cancels the search: it is polled once per search
+	// node and the computation returns Ctx.Err(). This is the path by
+	// which a canceled /v1/analyze request stops its canonical searches.
+	Ctx context.Context
+}
+
+// CanonicalOpt is Canonical with explicit search options (leaf budget,
+// cancellation).
+func CanonicalOpt(c *Colored, o Options) (*Result, error) {
+	if c.N == 0 {
+		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
+	}
+	if referenceEngine.Load() {
+		// The benchmark-only reference switch overrides the options: the
+		// frozen engine is unbudgeted and uncancelable.
+		return referenceCanonical(c), nil
+	}
+	return canonicalRun(newCanonState(c), o)
+}
+
+// canonicalRun executes one search over st under the options' budget and
+// cancellation signal.
+func canonicalRun(st *canonState, o Options) (*Result, error) {
+	st.maxLeaves = o.MaxLeaves
+	if o.Ctx != nil {
+		st.done = o.Ctx.Done()
+	}
 	st.run()
 	st.flushStats()
+	if st.stopped {
+		return nil, o.Ctx.Err()
+	}
 	if st.budgetHit {
 		return nil, ErrLeafBudget
 	}
@@ -246,7 +286,7 @@ func EquitablePartition(c *Colored) [][]int {
 	if c.N == 0 {
 		return nil
 	}
-	st := newCanonState(c, 0)
+	st := newCanonState(c)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)

@@ -206,6 +206,27 @@ func (sp *Sparse) OutMult(u, v int) int {
 	return int(csrOutMult(sp.g, u, int32(v)))
 }
 
+// CanonicalSparse computes the canonical form of a Sparse with the default
+// options. The sparse word is a different (O(n+m) varint) serialization
+// than the dense engine's — words are comparable only within one engine —
+// but carries the same guarantee: equal words exactly characterize
+// color-isomorphism.
+func CanonicalSparse(sp *Sparse) *Result {
+	r, err := CanonicalSparseOpt(sp, Options{})
+	if err != nil {
+		panic("iso: unreachable: unbudgeted sparse search returned " + err.Error())
+	}
+	return r
+}
+
+// CanonicalSparseOpt is CanonicalSparse with explicit search options.
+func CanonicalSparseOpt(sp *Sparse, o Options) (*Result, error) {
+	if sp.N == 0 {
+		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
+	}
+	return canonicalRun(newSparseCanonState(sp), o)
+}
+
 // SparseEquitablePartition returns the coarsest equitable refinement of
 // sp's color partition, in canonical cell order — the sparse counterpart of
 // EquitablePartition, O(n + m log n) per call.
@@ -213,7 +234,7 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	if sp.N == 0 {
 		return nil
 	}
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)
@@ -261,7 +282,7 @@ func SparseOrbitsWith(sp *Sparse, r *Result, o Options) ([][]int, error) {
 			ufUnion(uf, int32(i), int32(ai))
 		}
 	}
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)

@@ -83,24 +83,6 @@ func TestSparseVsDenseClassification(t *testing.T) {
 	}
 }
 
-// TestSparseWorkerDeterminism: the sparse canonical word must be
-// bit-identical across worker counts, like the dense engine's.
-func TestSparseWorkerDeterminism(t *testing.T) {
-	for name, g := range sparseFamilies() {
-		sp := SparseFromGraph(g, nil)
-		want := CanonicalSparse(sp).Word
-		for _, w := range []int{2, 4, 8} {
-			res, err := CanonicalSparseOpt(sp, Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !bytes.Equal(res.Word, want) {
-				t.Fatalf("%s workers=%d: sparse word differs from sequential", name, w)
-			}
-		}
-	}
-}
-
 // TestSparseAutomorphismsValid: every generator returned by the sparse
 // engine must be a real automorphism of the sparse graph.
 func TestSparseAutomorphismsValid(t *testing.T) {
@@ -123,7 +105,7 @@ func TestSparseAutomorphismsValid(t *testing.T) {
 // (appendSparseBlock only looks at positions j <= i, so placing everything
 // up front is safe). It is the sparse analogue of Colored.word.
 func sparseWordOf(sp *Sparse, p perm.Perm) []byte {
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)

@@ -23,20 +23,6 @@ type SearchStats struct {
 	PrefixPrunes int64 `json:"prefix_prunes"`
 	// BudgetExhaustions counts searches aborted by ErrLeafBudget.
 	BudgetExhaustions int64 `json:"budget_exhaustions"`
-	// ParallelSearches counts searches that ran on a worker pool
-	// (CanonicalOpt / CanonicalSparseOpt with Workers > 1); their nodes,
-	// leaves and prunes are folded into the shared counters above.
-	ParallelSearches int64 `json:"parallel_searches"`
-	// WorkerTasks counts root branch tasks claimed by parallel workers
-	// from the shared cursor (the work-stealing unit).
-	WorkerTasks int64 `json:"worker_tasks"`
-	// ClaimPrunes counts root tasks skipped because a claimed vertex of
-	// another worker maps to the candidate under a discovered
-	// automorphism — the cross-worker extension of OrbitPrunes.
-	ClaimPrunes int64 `json:"claim_prunes"`
-	// BestPublishes counts improvements installed into the shared
-	// best-word snapshot by parallel workers.
-	BestPublishes int64 `json:"best_publishes"`
 }
 
 // Sub returns s minus t field by field — the delta between two snapshots.
@@ -48,10 +34,6 @@ func (s SearchStats) Sub(t SearchStats) SearchStats {
 		OrbitPrunes:       s.OrbitPrunes - t.OrbitPrunes,
 		PrefixPrunes:      s.PrefixPrunes - t.PrefixPrunes,
 		BudgetExhaustions: s.BudgetExhaustions - t.BudgetExhaustions,
-		ParallelSearches:  s.ParallelSearches - t.ParallelSearches,
-		WorkerTasks:       s.WorkerTasks - t.WorkerTasks,
-		ClaimPrunes:       s.ClaimPrunes - t.ClaimPrunes,
-		BestPublishes:     s.BestPublishes - t.BestPublishes,
 	}
 }
 
@@ -62,9 +44,6 @@ var searchStats struct {
 	searches, nodes, leaves   atomic.Int64
 	orbitPrunes, prefixPrunes atomic.Int64
 	budgetExhaustions         atomic.Int64
-	parallelSearches          atomic.Int64
-	workerTasks, claimPrunes  atomic.Int64
-	bestPublishes             atomic.Int64
 }
 
 // Stats snapshots the process-global canonical-search counters.
@@ -76,10 +55,6 @@ func Stats() SearchStats {
 		OrbitPrunes:       searchStats.orbitPrunes.Load(),
 		PrefixPrunes:      searchStats.prefixPrunes.Load(),
 		BudgetExhaustions: searchStats.budgetExhaustions.Load(),
-		ParallelSearches:  searchStats.parallelSearches.Load(),
-		WorkerTasks:       searchStats.workerTasks.Load(),
-		ClaimPrunes:       searchStats.claimPrunes.Load(),
-		BestPublishes:     searchStats.bestPublishes.Load(),
 	}
 }
 
@@ -93,19 +68,4 @@ func (st *canonState) flushStats() {
 	if st.budgetHit {
 		searchStats.budgetExhaustions.Add(1)
 	}
-}
-
-// flushParallelStats folds one finished parallel search into the globals:
-// the pooled per-worker tree counters plus the shared-harness counters.
-// The search counts once, not once per worker.
-func flushParallelStats(sh *sharedSearch, nodes, orbitPrunes, prefixPrunes int64) {
-	searchStats.searches.Add(1)
-	searchStats.parallelSearches.Add(1)
-	searchStats.nodes.Add(nodes)
-	searchStats.leaves.Add(sh.leaves.Load())
-	searchStats.orbitPrunes.Add(orbitPrunes)
-	searchStats.prefixPrunes.Add(prefixPrunes)
-	searchStats.workerTasks.Add(sh.tasks.Load())
-	searchStats.claimPrunes.Add(sh.claimPrunes.Load())
-	searchStats.bestPublishes.Add(sh.publishes.Load())
 }

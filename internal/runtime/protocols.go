@@ -25,11 +25,17 @@ func init() {
 		}
 		return Walker(label, steps), nil
 	})
+	Register("chang-roberts", func(args string) (Protocol, error) {
+		cw, err := strconv.Atoi(args)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: chang-roberts wants the clockwise label, got %q", args)
+		}
+		return ChangRoberts(cw), nil
+	})
 }
 
 // DFSElection returns the quantitative whiteboard-DFS election — the
-// repository's one implementation of the election that used to be written
-// twice (once as a sim protocol, once as a msgnet machine). Each agent
+// repository's one implementation of the whiteboard-DFS election. Each agent
 // traverses the whole network depth-first, leaving breadcrumbs on the
 // whiteboards ("v:<id>" visited marks and "t:<id>:<label>" tried-port
 // marks), counting the "home" pre-marks it passes to discover r (the
@@ -186,7 +192,7 @@ func encodeDFS(mode string, stack []int, homes int) string {
 
 // Walker returns a protocol that walks steps hops through the port with
 // the given label and halts "done" — the minimal protocol for backend
-// plumbing tests (ported from the msgnet machine of the same name).
+// plumbing tests.
 func Walker(label, steps int) Protocol { return walker{label: label, steps: steps} }
 
 type walker struct{ label, steps int }
@@ -207,4 +213,49 @@ func (w walker) Step(memory string, _ View) (string, Effect) {
 		return memory, Effect{Halt: "done", Move: -1}
 	}
 	return strconv.Itoa(left - 1), Effect{Move: w.label}
+}
+
+// ChangRoberts returns the classic ring election for a fully occupied
+// oriented ring (every node a home-base, clockwise ports labeled cw): each
+// agent stamps its identity at home and walks clockwise; at every node it
+// parks until the resident's stamp appears, halts defeated on meeting a
+// larger identity, and is elected when it comes back to its own stamp. The
+// unique leader is the maximum identity — the textbook protocol the
+// paper's quantitative world takes for granted, used by experiment E12 to
+// exercise the Figure 1 transformation.
+func ChangRoberts(cw int) Protocol { return changRoberts{cw: cw} }
+
+type changRoberts struct{ cw int }
+
+// Spec returns "chang-roberts:<cw>".
+func (p changRoberts) Spec() string { return "chang-roberts:" + strconv.Itoa(p.cw) }
+
+// Init returns the empty memory of an agent that has not stamped yet.
+func (changRoberts) Init(int) string { return "" }
+
+// Step stamps and departs on the first activation, then compares the
+// resident's stamp with its own identity at every node it reaches.
+func (p changRoberts) Step(memory string, v View) (string, Effect) {
+	if memory == "" {
+		return "walk", Effect{Write: []string{"id:" + strconv.Itoa(v.ID)}, Move: p.cw}
+	}
+	stamp := -1
+	for _, m := range v.Board {
+		if rest, ok := strings.CutPrefix(m, "id:"); ok {
+			if k, err := strconv.Atoi(rest); err == nil && k > stamp {
+				stamp = k
+			}
+		}
+	}
+	switch {
+	case stamp == -1:
+		// The resident has not stamped yet: park until the board changes.
+		return memory, Effect{Move: -1}
+	case stamp == v.ID:
+		return memory, Effect{Halt: HaltLeader, Move: -1}
+	case stamp > v.ID:
+		return memory, Effect{Halt: HaltDefeated, Move: -1}
+	default:
+		return memory, Effect{Move: p.cw}
+	}
 }

@@ -97,7 +97,10 @@ func TestRegistry(t *testing.T) {
 	if p.Spec() != "walker:1,3" {
 		t.Fatalf("spec round trip: %q", p.Spec())
 	}
-	for _, bad := range []string{"", "nope", "walker", "walker:x,y", "walker:1"} {
+	if p, err := FromSpec("chang-roberts:1"); err != nil || p.Spec() != "chang-roberts:1" {
+		t.Fatalf("chang-roberts spec round trip: %v", err)
+	}
+	for _, bad := range []string{"", "nope", "walker", "walker:x,y", "walker:1", "chang-roberts", "chang-roberts:cw"} {
 		if _, err := FromSpec(bad); err == nil {
 			t.Fatalf("FromSpec(%q) succeeded", bad)
 		}
@@ -140,10 +143,124 @@ func (sitter) Step(m string, _ View) (string, Effect) {
 	return m, Effect{Move: -1}
 }
 
+// badMover moves through a label no port carries.
+type badMover struct{}
+
+func (badMover) Spec() string    { return "test-bad-mover" }
+func (badMover) Init(int) string { return "" }
+func (badMover) Step(m string, _ View) (string, Effect) {
+	return m, Effect{Move: 99}
+}
+
+// TestBadMoveLabel: a move through a label absent at the node is a run
+// error on every in-process backend, never a silent stall.
+func TestBadMoveLabel(t *testing.T) {
+	cfg := Config{Graph: graph.Cycle(3), Homes: []int{0}, Seed: 1}
+	for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}} {
+		if _, err := rt.Run(cfg, badMover{}); err == nil {
+			t.Fatalf("%s backend accepted a move through an unknown label", rt.Name())
+		}
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	cfg := Config{Graph: graph.Cycle(3), Homes: []int{0}, Seed: 1}
-	if _, err := (Transformed{}).Run(cfg, sitter{}); err == nil {
-		t.Fatal("transformed backend did not flag an eternal sitter")
+	for _, rt := range []Runtime{&Scheduled{}, Transformed{}} {
+		if _, err := rt.Run(cfg, sitter{}); err == nil {
+			t.Fatalf("%s backend did not flag an eternal sitter", rt.Name())
+		}
+	}
+}
+
+// stampWaiter is the park-and-wake probe: agent 1 walks one hop through
+// label 1 and parks until a "stamp" mark appears; agent 2 stamps its home
+// (agent 1's destination) and halts.
+type stampWaiter struct{}
+
+func (stampWaiter) Spec() string    { return "test-stamp-waiter" }
+func (stampWaiter) Init(int) string { return "" }
+func (stampWaiter) Step(m string, v View) (string, Effect) {
+	switch {
+	case m == "" && v.ID == 1:
+		return "waiting", Effect{Move: 1}
+	case m == "":
+		return m, Effect{Write: []string{"stamp"}, Halt: "done", Move: -1}
+	}
+	for _, mark := range v.Board {
+		if mark == "stamp" {
+			return m, Effect{Halt: "done", Move: -1}
+		}
+	}
+	return m, Effect{Move: -1}
+}
+
+// TestParkedAgentWakesOnBoardChange: a parked agent is re-stepped once its
+// node's board changes, on every in-process backend and for any schedule.
+func TestParkedAgentWakesOnBoardChange(t *testing.T) {
+	cfg := Config{Graph: graph.Cycle(3), Labels: orientedRing(3), Homes: []int{0, 1}}
+	for seed := int64(1); seed <= 10; seed++ {
+		cfg.Seed = seed
+		for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}} {
+			res, err := rt.Run(cfg, stampWaiter{})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", rt.Name(), seed, err)
+			}
+			if !reflect.DeepEqual(res.Outcomes, []string{"done", "done"}) {
+				t.Fatalf("%s seed %d: outcomes %v", rt.Name(), seed, res.Outcomes)
+			}
+		}
+	}
+}
+
+// orientedRing labels C_n's ports so label 1 always leads clockwise
+// (i -> i+1) and label 0 counter-clockwise.
+func orientedRing(n int) graph.EdgeLabeling {
+	g := graph.Cycle(n)
+	l := make(graph.EdgeLabeling, n)
+	for v := 0; v < n; v++ {
+		l[v] = make([]int, g.Deg(v))
+		for p := range l[v] {
+			if g.Port(v, p).To == (v+1)%n {
+				l[v][p] = 1
+			}
+		}
+	}
+	return l
+}
+
+// TestChangRobertsOrientedRings runs the Chang–Roberts protocol on fully
+// occupied oriented rings across all four backends: the maximum identity
+// wins everywhere, and every backend reports the same outcome vector and
+// per-agent move counts (the move counts do not depend on the schedule).
+func TestChangRobertsOrientedRings(t *testing.T) {
+	for _, n := range []int{3, 5, 8} {
+		homes := make([]int, n)
+		for i := range homes {
+			homes[i] = i
+		}
+		cfg := Config{Graph: graph.Cycle(n), Labels: orientedRing(n), Homes: homes}
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg.Seed = seed
+			var first *Result
+			for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}, &Networked{Workers: 2}} {
+				res, err := rt.Run(cfg, ChangRoberts(1))
+				if err != nil {
+					t.Fatalf("n=%d seed %d %s: %v", n, seed, rt.Name(), err)
+				}
+				if res.Leader() != n-1 {
+					t.Fatalf("n=%d seed %d %s: leader %d, want the maximum identity (outcomes %v)",
+						n, seed, rt.Name(), res.Leader(), res.Outcomes)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				if !reflect.DeepEqual(res.Outcomes, first.Outcomes) || !reflect.DeepEqual(res.Moves, first.Moves) {
+					t.Fatalf("n=%d seed %d: %s (%v, moves %v) differs from %s (%v, moves %v)", n, seed,
+						rt.Name(), res.Outcomes, res.Moves, first.Backend, first.Outcomes, first.Moves)
+				}
+			}
+		}
 	}
 }
 

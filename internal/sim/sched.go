@@ -240,6 +240,14 @@ func (ts *turnstile) abort() {
 	ts.cond.Broadcast()
 }
 
+// isAborted reports whether the run was aborted; an agent that sees it
+// after its protocol returned was released by the abort, not granted a turn.
+func (ts *turnstile) isAborted() bool {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.aborted
+}
+
 func (ts *turnstile) deadlocked() bool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

@@ -940,6 +940,12 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 
 	start := time.Now()
 	e.started = start
+	// Agents released by a turnstile abort (deadlock, cancellation,
+	// timeout) no longer hold a turn, so their outcome events would land in
+	// goroutine-timing order; they are collected here and traced in agent
+	// order once the pool drains, keeping replayed traces bit-exact. Each
+	// agent writes only its own slot.
+	released := make([]bool, len(e.agents))
 	var wg sync.WaitGroup
 	for i := range e.agents {
 		wg.Add(1)
@@ -961,6 +967,10 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 			out, err := protocol(a)
 			res.Outcomes[i] = out
 			res.Errors[i] = err
+			if e.ts != nil && e.ts.isAborted() {
+				released[i] = true
+				return
+			}
 			e.trace(i, EvOutcome, a.node, out.Role.String())
 		}(e.agents[i], i)
 	}
@@ -1006,6 +1016,11 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		abort(fmt.Errorf("sim: %w after %v", ErrAborted, cfg.Timeout))
 	}
 	res.Elapsed = time.Since(start)
+	for i, r := range released {
+		if r {
+			e.trace(i, EvOutcome, e.agents[i].node, res.Outcomes[i].Role.String())
+		}
+	}
 	for i := range e.agents {
 		res.Moves[i] = e.agents[i].Moves()
 		res.Accesses[i] = e.agents[i].Accesses()

@@ -15,6 +15,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,74 +31,102 @@ type Classes struct {
 	Members [][]int
 }
 
-// depthClasses computes the partition of nodes by view-isomorphism to the
-// given depth, via synchronized refinement:
+// Arc is one directed port of a port-labeled (multi)graph: the edge label on
+// this side, the label on the far side, and the far endpoint.
+type Arc struct {
+	Lab, Far, To int
+}
+
+// Arcs returns the arc form of (g, l): Arcs(g, l)[v][p] is port p of v.
+func Arcs(g *graph.Graph, l graph.EdgeLabeling) [][]Arc {
+	arcs := make([][]Arc, g.N())
+	for v := range arcs {
+		arcs[v] = make([]Arc, g.Deg(v))
+		for p, h := range g.Ports(v) {
+			arcs[v][p] = Arc{Lab: l[v][p], Far: l[h.To][h.Twin], To: h.To}
+		}
+	}
+	return arcs
+}
+
+// Refine partitions the nodes of a port-labeled graph, given in arc form
+// with a per-node color (nil means all 0), by view-isomorphism to the given
+// depth, via synchronized refinement:
 //
-//	class_0(v)   = (color(v), deg(v))
-//	class_k+1(v) = (class_k(v), multiset over ports p of
-//	                 (ℓ_v(p), ℓ_w(twin p), class_k(w)))
+//	class_0(v)   = (deg(v), color(v))
+//	class_k+1(v) = (class_k(v), multiset over arcs of
+//	                 (Lab, Far, class_k(To)))
 //
 // which mirrors the recursive definition of V^(k)(v) in the paper's proof
-// of Theorem 2.1.
-func depthClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int, depth int) []int {
-	n := g.N()
-	cls := make([]int, n)
-	key := make([]string, n)
-	for v := 0; v < n; v++ {
+// of Theorem 2.1. Depth n−1 gives the full view classes (Norris), and
+// refinement stops early once the partition is stable.
+//
+// Class ids are canonical: each round ranks the nodes' integer-tuple keys
+// (the multiset sorted) lexicographically among the distinct keys, so ids
+// depend only on the isomorphism type of the input, never on its node
+// numbering. Because a key leads with the node's previous class, a round
+// that does not split any class reproduces the previous ids exactly.
+func Refine(arcs [][]Arc, color []int, depth int) []int {
+	n := len(arcs)
+	keys := make([][]int, n)
+	flat := make([]int, 0, 2*n)
+	for v := range arcs {
 		col := 0
-		if colors != nil {
-			col = colors[v]
+		if color != nil {
+			col = color[v]
 		}
-		key[v] = fmt.Sprintf("%d|%d", col, g.Deg(v))
+		flat = append(flat, len(arcs[v]), col)
+		keys[v] = flat[len(flat)-2:]
 	}
-	cls = densify(key)
+	order := make([]int, n)
+	cls := make([]int, n)
+	rankTuples(keys, order, cls)
+
+	m := 0
+	for _, as := range arcs {
+		m += len(as)
+	}
+	next := make([]int, n)
+	var tri [][3]int
+	flat = make([]int, 0, n+3*m)
 	for k := 0; k < depth; k++ {
-		next := make([]string, n)
-		for v := 0; v < n; v++ {
-			parts := make([]string, 0, g.Deg(v))
-			for p, h := range g.Ports(v) {
-				parts = append(parts, fmt.Sprintf("%d:%d:%d", l[v][p], l[h.To][h.Twin], cls[h.To]))
+		flat = flat[:0]
+		for v, as := range arcs {
+			tri = tri[:0]
+			for _, a := range as {
+				tri = append(tri, [3]int{a.Lab, a.Far, cls[a.To]})
 			}
-			sort.Strings(parts)
-			next[v] = fmt.Sprintf("%d#%s", cls[v], strings.Join(parts, ","))
+			slices.SortFunc(tri, func(x, y [3]int) int { return slices.Compare(x[:], y[:]) })
+			start := len(flat)
+			flat = append(flat, cls[v])
+			for _, t := range tri {
+				flat = append(flat, t[0], t[1], t[2])
+			}
+			keys[v] = flat[start:]
 		}
-		newCls := densify(next)
-		if equalInts(newCls, cls) {
-			return cls // stabilized early; deeper views agree
+		rankTuples(keys, order, next)
+		if slices.Equal(next, cls) {
+			break // stabilized early; deeper views agree
 		}
-		cls = newCls
+		cls, next = next, cls
 	}
 	return cls
 }
 
-// densify maps distinct strings to dense ints, ordered by first occurrence
-// of the smallest node — we instead order classes canonically by sorted key
-// so results are reproducible.
-func densify(keys []string) []int {
-	uniq := append([]string(nil), keys...)
-	sort.Strings(uniq)
-	id := make(map[string]int)
-	next := 0
-	for _, k := range uniq {
-		if _, ok := id[k]; !ok {
-			id[k] = next
-			next++
+// rankTuples sets ids[v] to the rank of keys[v] among the sorted distinct
+// keys, using order as scratch.
+func rankTuples(keys [][]int, order, ids []int) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(keys[a], keys[b]) })
+	id := -1
+	for i, v := range order {
+		if i == 0 || !slices.Equal(keys[order[i-1]], keys[v]) {
+			id++
 		}
+		ids[v] = id
 	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = id[k]
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ComputeClasses returns the view-equivalence classes of (g, l, colors).
@@ -107,8 +136,7 @@ func ComputeClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int) (*Classe
 	if err := l.Validate(g); err != nil {
 		return nil, err
 	}
-	cls := depthClasses(g, l, colors, max(g.N()-1, 0))
-	return fromAssignment(cls), nil
+	return fromAssignment(Refine(Arcs(g, l), colors, max(g.N()-1, 0))), nil
 }
 
 // ClassesAtDepth returns the coarser partition by views truncated at the
@@ -117,29 +145,21 @@ func ClassesAtDepth(g *graph.Graph, l graph.EdgeLabeling, colors []int, depth in
 	if err := l.Validate(g); err != nil {
 		return nil, err
 	}
-	return fromAssignment(depthClasses(g, l, colors, depth)), nil
+	return fromAssignment(Refine(Arcs(g, l), colors, depth)), nil
 }
 
 func fromAssignment(cls []int) *Classes {
-	// Renumber classes by smallest member.
-	first := map[int]int{}
+	// Renumber classes by smallest member (Refine's ids are dense).
+	renum := make([]int, len(cls))
+	for i := range renum {
+		renum[i] = -1
+	}
+	out := &Classes{Class: make([]int, len(cls))}
 	for v, c := range cls {
-		if _, ok := first[c]; !ok {
-			first[c] = v
+		if renum[c] < 0 {
+			renum[c] = len(out.Members)
+			out.Members = append(out.Members, nil)
 		}
-	}
-	type pair struct{ min, old int }
-	var ps []pair
-	for c, m := range first {
-		ps = append(ps, pair{m, c})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].min < ps[j].min })
-	renum := make(map[int]int, len(ps))
-	for i, p := range ps {
-		renum[p.old] = i
-	}
-	out := &Classes{Class: make([]int, len(cls)), Members: make([][]int, len(ps))}
-	for v, c := range cls {
 		nc := renum[c]
 		out.Class[v] = nc
 		out.Members[nc] = append(out.Members[nc], v)
@@ -332,11 +352,4 @@ func factorial(n int) int {
 		f *= i
 	}
 	return f
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

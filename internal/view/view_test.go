@@ -1,6 +1,7 @@
 package view
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -332,6 +333,40 @@ func TestBoldiVignaDiameterDepth(t *testing.T) {
 		if stable.Count() != atDiam.Count() {
 			t.Errorf("%v: depth-diameter classes %d != stable %d",
 				g, atDiam.Count(), stable.Count())
+		}
+	}
+}
+
+// TestRefineIdsCanonical: Refine's class ids depend only on the
+// isomorphism type of the input — renumbering the nodes (labels and colors
+// carried along) permutes the id vector and changes no id.
+func TestRefineIdsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, g := range []*graph.Graph{graph.Petersen(), graph.Hypercube(3), graph.Cycle(9), graph.Torus(3, 4)} {
+		n := g.N()
+		l := graph.PortLabeling(g)
+		colors := make([]int, n)
+		colors[0], colors[2] = 1, 2
+		want := Refine(Arcs(g, l), colors, n-1)
+		for trial := 0; trial < 5; trial++ {
+			perm := rng.Perm(n)
+			h, err := g.Relabel(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hl := make(graph.EdgeLabeling, n)
+			hc := make([]int, n)
+			for v := 0; v < n; v++ {
+				hl[perm[v]] = l[v]
+				hc[perm[v]] = colors[v]
+			}
+			got := Refine(Arcs(h, hl), hc, n-1)
+			for v := 0; v < n; v++ {
+				if got[perm[v]] != want[v] {
+					t.Fatalf("%v trial %d: node %d has class %d, renumbered copy %d",
+						g, trial, v, want[v], got[perm[v]])
+				}
+			}
 		}
 	}
 }

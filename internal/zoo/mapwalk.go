@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/view"
 )
 
 // The walk phases. The zero memory ("") is the start phase; the state
@@ -222,13 +224,13 @@ func (st *walkState) totalHomes() int {
 // reconstruct builds the decision-facing map from the recorded traversal.
 func (st *walkState) reconstruct() mapData {
 	n := len(st.nodes)
-	m := mapData{n: n, arcs: make([][]mapArc, n), homes: make([]int, n)}
+	m := mapData{n: n, arcs: make([][]view.Arc, n), homes: make([]int, n)}
 	for v, ni := range st.nodes {
 		m.homes[v] = ni.homes
 	}
 	for _, e := range st.edges {
-		m.arcs[e.u] = append(m.arcs[e.u], mapArc{lab: e.lu, far: e.lv, to: e.v})
-		m.arcs[e.v] = append(m.arcs[e.v], mapArc{lab: e.lv, far: e.lu, to: e.u})
+		m.arcs[e.u] = append(m.arcs[e.u], view.Arc{Lab: e.lu, Far: e.lv, To: e.v})
+		m.arcs[e.v] = append(m.arcs[e.v], view.Arc{Lab: e.lv, Far: e.lu, To: e.u})
 	}
 	m.sortArcs()
 	return m
@@ -244,8 +246,8 @@ func (st *walkState) routeTo(target int) []int {
 	for at := 0; at != target; {
 		best, bestLab := -1, -1
 		for _, a := range m.arcs[at] {
-			if dist[a.to] == dist[at]-1 && (best < 0 || a.lab < bestLab) {
-				best, bestLab = a.to, a.lab
+			if dist[a.To] == dist[at]-1 && (best < 0 || a.Lab < bestLab) {
+				best, bestLab = a.To, a.Lab
 			}
 		}
 		if best < 0 {
