@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz FuzzElectSchedule -fuzztime 30s -run '^$$' ./internal/adversary
 	$(GO) test -fuzz FuzzCanonical -fuzztime 30s -run '^$$' ./internal/iso
 	$(GO) test -fuzz FuzzFromTwins -fuzztime 30s -run '^$$' ./internal/graph
+	$(GO) test -fuzz FuzzSeededMatchesMathRand -fuzztime 30s -run '^$$' ./internal/seeded
 
 # Adversarial schedule sweep of a representative instance: every strategy
 # across seeds, protocol invariants checked per run (see DESIGN.md §10).

@@ -2,11 +2,11 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/seeded"
 	"repro/internal/sim"
 )
 
@@ -59,13 +59,14 @@ func asSimProtocol(p Protocol, col *simCollector) sim.Protocol {
 		entry := -1
 		for {
 			var eff Effect
+			var syms []sim.Symbol
 			var labels []int
 			var outcome sim.Outcome
 			var halted bool
 			var parkedKey string
 			err := a.Access(func(b *sim.Board) {
 				var v View
-				v, labels = simView(a, b.Signs(), entry)
+				v, syms, labels = simView(a, b.Signs(), entry)
 				if col != nil {
 					col.steps[a.ID()-1]++
 				}
@@ -96,7 +97,7 @@ func asSimProtocol(p Protocol, col *simCollector) sim.Protocol {
 				return outcome, nil
 			}
 			if eff.Move >= 0 {
-				sym, ok := symbolForLabel(a, labels, eff.Move)
+				sym, ok := symbolForLabel(syms, labels, eff.Move)
 				if !ok {
 					return sim.Outcome{}, fmt.Errorf("runtime: no port labeled %d at the current node", eff.Move)
 				}
@@ -118,8 +119,9 @@ func asSimProtocol(p Protocol, col *simCollector) sim.Protocol {
 }
 
 // simView builds the contract View from a sim board snapshot, returning
-// the label of each symbol in the agent's presentation order alongside.
-func simView(a *sim.Agent, ss sim.Signs, entry int) (View, []int) {
+// the agent's symbols in presentation order and the label of each
+// alongside.
+func simView(a *sim.Agent, ss sim.Signs, entry int) (View, []sim.Symbol, []int) {
 	syms := a.Symbols()
 	labels := make([]int, len(syms))
 	for i, s := range syms {
@@ -142,7 +144,7 @@ func simView(a *sim.Agent, ss sim.Signs, entry int) (View, []int) {
 		Entry:  entry,
 		Board:  board,
 		ID:     a.ID(),
-	}, labels
+	}, syms, labels
 }
 
 // simOutcome maps a halt effect to a sim.Outcome, resolving LeaderMark to
@@ -167,9 +169,10 @@ func simOutcome(a *sim.Agent, ss sim.Signs, eff Effect) sim.Outcome {
 	}
 }
 
-// symbolForLabel resolves a port label to the symbol to move through.
-func symbolForLabel(a *sim.Agent, labels []int, label int) (sim.Symbol, bool) {
-	for i, s := range a.Symbols() {
+// symbolForLabel resolves a port label to the symbol to move through,
+// given the symbols and labels simView returned.
+func symbolForLabel(syms []sim.Symbol, labels []int, label int) (sim.Symbol, bool) {
+	for i, s := range syms {
 		if labels[i] == label {
 			return s, true
 		}
@@ -276,7 +279,7 @@ func (*Scheduled) Name() string { return "scheduled" }
 func (s *Scheduled) Run(cfg Config, p Protocol) (*Result, error) {
 	strat := s.Strategy
 	if strat == nil {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		rng := seeded.New(cfg.Seed)
 		strat = sim.StrategyFunc(func(ready []int, _ int) int {
 			return ready[rng.Intn(len(ready))]
 		})

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/seeded"
 	"repro/internal/telemetry"
 )
 
@@ -775,7 +776,7 @@ func (e *engine) presentation(agent, node, deg int) []int {
 	if p, ok := e.pres[key]; ok {
 		return p
 	}
-	rng := rand.New(rand.NewSource(presentationSeed(e.seedLo, agent, node)))
+	rng := seeded.New(presentationSeed(e.seedLo, agent, node))
 	p := rng.Perm(deg)
 	e.pres[key] = p
 	return p
@@ -850,7 +851,7 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		cfg.TakeoverAfter = 3
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seeded.New(cfg.Seed)
 	// The rng consumption order below is part of the repository's
 	// determinism contract: seedLo, then the palette, then per-agent RNGs,
 	// then the wake set. The ColorSeed/SymbolSeed seams override a single
@@ -879,7 +880,7 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	// ids carry no information about agent indices.
 	palette := rng.Perm(len(cfg.Homes))
 	if cfg.ColorSeed != 0 {
-		palette = rand.New(rand.NewSource(cfg.ColorSeed)).Perm(len(cfg.Homes))
+		palette = seeded.New(cfg.ColorSeed).Perm(len(cfg.Homes))
 	}
 	e.agents = make([]*Agent, len(cfg.Homes))
 	for i, h := range cfg.Homes {
@@ -888,7 +889,7 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 			index: i,
 			color: Color{id: palette[i] + 1},
 			node:  h,
-			rng:   rand.New(rand.NewSource(rng.Int63())),
+			rng:   seeded.New(rng.Int63()),
 			id:    i + 1,
 		}
 	}
