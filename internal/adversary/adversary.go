@@ -4,8 +4,8 @@
 // Theorem 3.1 claims correctness of Protocol ELECT on *every* asynchronous
 // execution, but a seeded random-delay run exercises exactly one schedule.
 // This package replays one (G, placement) instance under a sweep of
-// scheduling strategies × seeds — each run serialized through the
-// sim.Strategy turnstile so its decision log pins the execution down — and
+// scheduling strategies × seeds — each run serialized by a sim.Strategy
+// scheduler so its decision log pins the execution down — and
 // checks the elect invariants after every run: at most one leader,
 // all-agree-or-all-report-failure, verdict equal to the independently
 // computed gcd of the class sizes, and the O(r·|E|) move bound. Any
@@ -68,7 +68,7 @@ type Config struct {
 	// Timeout is the per-run watchdog (default 60s).
 	Timeout time.Duration
 	// Workers bounds the pool running (strategy, seed) combinations in
-	// parallel; each run is internally serialized by its turnstile
+	// parallel; each run is internally serialized by its scheduler
 	// (default GOMAXPROCS).
 	Workers int
 	// KeepSchedules retains the decision log of every run in the report;

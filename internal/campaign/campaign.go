@@ -485,7 +485,7 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 			}
 		}
 	}
-	// Strategy runs are serialized through the adversary turnstile; the
+	// Strategy runs are serialized by the adversary's scheduler; the
 	// class map is schedule-independent, so compute it once per run.
 	var classOf []int
 	if run.Strategy != "" {

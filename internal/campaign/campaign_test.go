@@ -569,7 +569,7 @@ func TestParseStrategies(t *testing.T) {
 }
 
 // TestFaultAxis crosses the campaign with fault strategies: the expansion
-// defaults to the random scheduler (fault injection needs the turnstile),
+// defaults to the random scheduler (fault injection needs the Scheduler),
 // every fault run carries its manifest through the JSONL stream, the
 // fault-aware invariants stay clean, and the summary aggregates the plane.
 func TestFaultAxis(t *testing.T) {

@@ -74,14 +74,14 @@ type FaultPoint struct {
 // nothing and is the common case.
 type FaultAction struct {
 	// Crash crash-stops the agent at this point: its protocol unwinds with
-	// ErrCrashed, it performs no further operations, and it retires through
-	// the turnstile so scheduling continues among the survivors.
+	// ErrCrashed, it performs no further operations, and its exit passes
+	// the turn on so scheduling continues among the survivors.
 	Crash bool
 	// HoldLock, together with Crash (or Torn), additionally abandons the
 	// current node's whiteboard lock — the crash happened inside the
 	// agent's exclusive access. Surviving agents that try to use that
-	// board stall for Config.TakeoverAfter of their own sequence points,
-	// then break the lock and take over (counted in Result.Takeovers).
+	// board stall for three sequence points in all, then break the lock
+	// and take over (counted in Result.Takeovers).
 	HoldLock bool
 	// Torn, at a FaultWrite point, makes the write partial: only the first
 	// Keep bytes of the tag land on the board, and the writer crash-stops
@@ -128,57 +128,51 @@ func (e *engine) injectAt(a *Agent, op FaultOp, node int, tag string) FaultActio
 	return act
 }
 
+// takeoverAfter is the stall budget of an abandoned whiteboard lock: how
+// many sequence points surviving agents collectively burn against a dead
+// agent's lock before breaking it and taking over.
+const takeoverAfter = 3
+
 // crash retires the agent as crash-stopped; with holdLock it also abandons
-// the agent's current board (must not be called while holding that board's
-// mutex — Access handles its in-access case inline).
+// the agent's current board. Faults run only under the Scheduler, so the
+// caller holds the turn and touches the board without its lock.
 func (e *engine) crash(a *Agent, holdLock bool) error {
 	e.crashed[a.index] = true
 	detail := ""
 	if holdLock {
-		wb := e.boards[a.node]
-		wb.mu.Lock()
-		e.abandonLocked(wb)
-		wb.mu.Unlock()
+		e.abandon(e.boards[a.node])
 		detail = "holding-lock"
 	}
 	e.trace(a.index, EvCrash, a.node, detail)
 	return ErrCrashed
 }
 
-// abandonLocked marks the board's lock abandoned. Caller holds wb.mu.
-func (e *engine) abandonLocked(wb *whiteboard) {
+// abandon marks the board's lock abandoned by a crashed agent.
+func (e *engine) abandon(wb *whiteboard) {
 	wb.abandoned = true
-	wb.stallLeft = e.takeoverAfter
+	wb.stallLeft = takeoverAfter
 }
 
 // passAbandoned makes the agent negotiate an abandoned lock on the board:
 // each attempt burns one sequence point and decrements the stall budget;
 // when the budget is gone the agent breaks the lock and takes over. The
 // stall consumes real scheduler steps, so recovery is deterministic and
-// shows up in the decision log like any other work.
+// shows up in the decision log like any other work. Without faults no board
+// is ever abandoned and this returns at once.
 func (e *engine) passAbandoned(a *Agent, wb *whiteboard) error {
-	if !e.faultsOn() {
-		return nil
-	}
-	for {
-		wb.mu.Lock()
-		if !wb.abandoned {
-			wb.mu.Unlock()
-			return nil
-		}
+	for wb.abandoned {
 		if wb.stallLeft <= 0 {
 			wb.abandoned = false
-			wb.mu.Unlock()
-			e.takeovers.Add(1)
+			e.takeovers++
 			e.trace(a.index, EvRecover, a.node, "lock-takeover")
 			return nil
 		}
 		wb.stallLeft--
-		wb.mu.Unlock()
 		if err := e.delay(a); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // faultRead runs the FaultRead injection point before a Wait predicate

@@ -115,9 +115,7 @@ func TestCrashHoldingLockIsTakenOver(t *testing.T) {
 	inj := &scriptInjector{script: map[[3]int]FaultAction{
 		{int(FaultStep), 0, 0}: {Crash: true, HoldLock: true},
 	}}
-	cfg := faultCfg(t, inj, []int{0, 3})
-	cfg.TakeoverAfter = 2
-	res, err := Run(cfg, visitor)
+	res, err := Run(faultCfg(t, inj, []int{0, 3}), visitor)
 	if err != nil {
 		t.Fatalf("run error (deadlock means takeover failed): %v", err)
 	}

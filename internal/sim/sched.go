@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 )
 
 // Strategy is a pluggable scheduling adversary. When sim.Config.Scheduler is
@@ -129,175 +130,142 @@ func (r *ReplayStrategy) Divergences() int { return r.divergences }
 // strategies only choose among ready agents and cannot manufacture one.
 var ErrDeadlock = errors.New("sim: schedule deadlock (every live agent is blocked)")
 
-// Per-agent turnstile states.
+// Per-agent scheduling states.
 const (
-	agStarting = iota // goroutine launched, not yet at its first sequence point
-	agReady           // requested a step, awaiting grant
-	agRunning         // granted; executing up to its next sequence point
-	agBlocked         // parked in Wait on an unsatisfied predicate
-	agDone            // protocol returned
+	agReady   = iota // may be granted; also the turn holder's state while it runs
+	agBlocked        // parked in Wait on an unsatisfied predicate
+	agDone           // protocol returned
 )
 
-// turnstile serializes a strategy-driven run. Exactly one agent is agRunning
-// at any time; it keeps the turn from its grant until its next call into the
-// turnstile (step, block, or exit), at which point the strategy picks the
-// next agent from the ready set. Grants are issued only after every agent has
-// reached its first sequence point (the startup barrier), so the first
-// decision's ready set does not depend on goroutine startup timing.
-type turnstile struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
+// turn serializes a strategy-driven run by handing one turn from agent to
+// agent. Each agent parks on its own one-slot channel. The agent holding the
+// turn runs until its next sequence point (step, block or exit); there it
+// records its own state, asks the strategy for the next agent, records the
+// grant, and sends it to that agent's channel — the slot lets it grant
+// itself. There is one turn, so a channel never holds more than one grant
+// and a send never blocks. Only the turn holder touches the fields below,
+// and each grant is a channel send that happens before the grantee's next
+// access, so nothing is locked.
+//
+// A schedule deadlock (no ready agent, some blocked), a timeout or a
+// cancellation makes the turn abort: from then on it goes to the lowest
+// live agent, whose pending step fails with ErrAborted. That agent unwinds,
+// traces its outcome and exits, handing the turn to the next, so the parked
+// agents unwind one at a time in agent order.
+type turn struct {
 	strategy Strategy
 	rec      *Schedule
+	stop     *atomic.Bool // the engine's abort flag, raised by Run on timeout or cancellation
 
 	state     []int
 	blockedOn []int // node an agBlocked agent is parked on
+	grant     []chan struct{}
 	nsteps    int
-	aborted   bool
+	aborting  bool
 	deadlock  bool
 }
 
-func newTurnstile(n int, strategy Strategy, rec *Schedule) *turnstile {
-	ts := &turnstile{
+func newTurn(n int, strategy Strategy, rec *Schedule, stop *atomic.Bool) *turn {
+	t := &turn{
 		strategy:  strategy,
 		rec:       rec,
+		stop:      stop,
 		state:     make([]int, n),
 		blockedOn: make([]int, n),
+		grant:     make([]chan struct{}, n),
 	}
-	ts.cond = sync.NewCond(&ts.mu)
-	for i := range ts.state {
-		ts.state[i] = agStarting
+	for i := range t.grant {
+		t.grant[i] = make(chan struct{}, 1)
 	}
-	return ts
+	return t
 }
 
-// step is the sequence point: the agent gives up its current turn (if any),
-// declares itself ready, and waits to be granted the next one.
-func (ts *turnstile) step(agent int) error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.aborted {
-		return ErrAborted
-	}
-	ts.state[agent] = agReady
-	ts.scheduleLocked()
-	for ts.state[agent] != agRunning {
-		if ts.aborted {
-			return ErrAborted
-		}
-		ts.cond.Wait()
-	}
-	return nil
-}
+// step is the sequence point: the agent ends its turn as ready and waits to
+// be granted the next one.
+func (t *turn) step(a *Agent) error { return t.yield(a, agReady) }
 
 // block parks the agent on a board whose wait predicate is unsatisfied. It
-// returns once the agent is re-granted a turn after a write dirtied that
-// board (the caller re-checks the predicate), or fails on abort/deadlock.
-func (ts *turnstile) block(agent, node int) error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.aborted {
-		return ErrAborted
+// returns once the agent is granted a turn again after a write readied it
+// (the caller re-checks the predicate), or fails on abort.
+func (t *turn) block(a *Agent, node int) error {
+	t.blockedOn[a.index] = node
+	return t.yield(a, agBlocked)
+}
+
+// yield ends the agent's turn in state st and parks it until its next grant.
+// An agent's first call holds no turn yet: every agent starts ready, and Run
+// issues the first grant.
+func (t *turn) yield(a *Agent, st int) error {
+	if a.started {
+		t.state[a.index] = st
+		t.pass()
 	}
-	ts.state[agent] = agBlocked
-	ts.blockedOn[agent] = node
-	ts.scheduleLocked()
-	for ts.state[agent] != agRunning {
-		if ts.aborted {
-			return ErrAborted
-		}
-		ts.cond.Wait()
+	<-t.grant[a.index]
+	a.started = true
+	if t.aborting {
+		return ErrAborted
 	}
 	return nil
 }
 
 // exit retires the agent (protocol returned or errored) and passes the turn.
-func (ts *turnstile) exit(agent int) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.state[agent] = agDone
-	ts.scheduleLocked()
+func (t *turn) exit(a *Agent) {
+	t.state[a.index] = agDone
+	t.pass()
 }
 
-// notifyBoard readies every agent blocked on the node. Called by the running
-// agent (under the board lock) when a write dirties the board; the readied
-// agents re-check their predicates when the strategy next grants them.
-func (ts *turnstile) notifyBoard(node int) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for a, st := range ts.state {
-		if st == agBlocked && ts.blockedOn[a] == node {
-			ts.state[a] = agReady
+// notify readies every agent blocked on the node. The writer calls it while
+// it holds the turn, so the next decision already sees the readied agents;
+// they re-check their predicates when the strategy next grants them.
+func (t *turn) notify(node int) {
+	for a, st := range t.state {
+		if st == agBlocked && t.blockedOn[a] == node {
+			t.state[a] = agReady
 		}
 	}
 }
 
-// abort releases every parked agent; they observe ErrAborted.
-func (ts *turnstile) abort() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.aborted = true
-	ts.cond.Broadcast()
-}
-
-// isAborted reports whether the run was aborted; an agent that sees it
-// after its protocol returned was released by the abort, not granted a turn.
-func (ts *turnstile) isAborted() bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.aborted
-}
-
-func (ts *turnstile) deadlocked() bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.deadlock
-}
-
-// scheduleLocked issues the next grant if no agent is running and the
-// startup barrier has cleared. Called with ts.mu held at every turn end.
-func (ts *turnstile) scheduleLocked() {
-	if ts.aborted {
-		ts.cond.Broadcast()
-		return
+// pass hands the turn on: to the strategy's pick among the ready agents or,
+// once the run aborts, to the lowest live agent. With every agent done it
+// hands it to nobody.
+func (t *turn) pass() {
+	if !t.aborting && t.stop.Load() {
+		t.aborting = true
 	}
-	var ready []int
-	blocked := 0
-	for a, st := range ts.state {
-		switch st {
-		case agStarting, agRunning:
-			return // barrier not cleared, or a turn is still outstanding
-		case agReady:
-			ready = append(ready, a)
-		case agBlocked:
-			blocked++
+	if !t.aborting {
+		ready := make([]int, 0, len(t.state))
+		blocked := 0
+		for a, st := range t.state {
+			switch st {
+			case agReady:
+				ready = append(ready, a)
+			case agBlocked:
+				blocked++
+			}
+		}
+		if len(ready) > 0 {
+			pick := t.strategy.Next(ready, t.nsteps)
+			if !slices.Contains(ready, pick) {
+				pick = ready[0]
+			}
+			t.nsteps++
+			if t.rec != nil {
+				t.rec.Grants = append(t.rec.Grants, int32(pick))
+			}
+			t.grant[pick] <- struct{}{}
+			return
+		}
+		if blocked == 0 {
+			return
+		}
+		// Nobody can be granted and nobody running will ever wake the
+		// blocked agents: the schedule is wedged.
+		t.deadlock, t.aborting = true, true
+	}
+	for a, st := range t.state {
+		if st != agDone {
+			t.grant[a] <- struct{}{}
+			return
 		}
 	}
-	if len(ready) == 0 {
-		if blocked > 0 {
-			// Nobody can be granted and nobody running will ever wake the
-			// blocked agents: the schedule is wedged.
-			ts.deadlock = true
-			ts.aborted = true
-		}
-		ts.cond.Broadcast()
-		return
-	}
-	pick := ts.strategy.Next(ready, ts.nsteps)
-	ok := false
-	for _, a := range ready {
-		if a == pick {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		pick = ready[0]
-	}
-	ts.state[pick] = agRunning
-	ts.nsteps++
-	if ts.rec != nil {
-		ts.rec.Grants = append(ts.rec.Grants, int32(pick))
-	}
-	ts.cond.Broadcast()
 }

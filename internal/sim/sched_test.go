@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -186,5 +187,80 @@ func TestScheduledDeterminism(t *testing.T) {
 	b := runScheduled(t, rr(), nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same strategy, same seed, different event streams")
+	}
+}
+
+// spinProtocol livelocks: it accesses its home whiteboard forever, so a
+// scheduled run neither completes nor deadlocks, and only a timeout or a
+// cancellation ends it.
+func spinProtocol(a *Agent) (Outcome, error) {
+	for {
+		if err := a.Access(func(b *Board) { b.Write("spin") }); err != nil {
+			return Outcome{}, err
+		}
+	}
+}
+
+// runSpinning runs spinProtocol on three agents under a round-robin
+// Scheduler and checks that the abort unwound every agent with ErrAborted,
+// tracing their outcomes in agent order.
+func runSpinning(t *testing.T, ctx context.Context, timeout time.Duration) error {
+	t.Helper()
+	er := &eventRecorder{}
+	res, err := Run(Config{
+		Graph:     graph.Cycle(4),
+		Homes:     []int{0, 1, 2},
+		Seed:      5,
+		WakeAll:   true,
+		Timeout:   timeout,
+		Context:   ctx,
+		Scheduler: StrategyFunc(func(ready []int, step int) int { return ready[step%len(ready)] }),
+		Tracer:    er.trace,
+	}, spinProtocol)
+	for i, e := range res.Errors {
+		if !errors.Is(e, ErrAborted) {
+			t.Errorf("agent %d error = %v, want ErrAborted", i, e)
+		}
+	}
+	var order []int
+	for _, e := range er.events {
+		if e.Kind == EvOutcome {
+			order = append(order, e.Agent)
+		}
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Errorf("outcomes traced in agent order %v, want [0 1 2]", order)
+	}
+	return err
+}
+
+// TestScheduledTimeoutAborts: under the Scheduler, the watchdog ends a
+// livelocked run with ErrAborted.
+func TestScheduledTimeoutAborts(t *testing.T) {
+	err := runSpinning(t, context.Background(), 100*time.Millisecond)
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("want ErrAborted, got %v", err)
+	}
+}
+
+// TestScheduledCancelAborts: under the Scheduler, cancelling the context
+// ends a livelocked run promptly with ErrCanceled, which must not wrap the
+// retriable ErrAborted.
+func TestScheduledCancelAborts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	err := runSpinning(t, ctx, 30*time.Second)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if errors.Is(err, ErrAborted) {
+		t.Fatal("cancellation must not look like a retriable watchdog abort")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancel took %v, run did not unwind promptly", elapsed)
 	}
 }

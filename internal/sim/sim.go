@@ -16,13 +16,16 @@
 //   - Nodes are anonymous: an agent can observe only its current node's
 //     degree, port symbols, entry symbol, and whiteboard.
 //
-// Concurrency. One goroutine per agent; each whiteboard is a mutex-protected
-// sign set with a condition variable so agents can block until a predicate
-// over the signs holds ("waiting for the arrival of another agent"). Every
-// move and whiteboard access passes a scheduler hook that injects seeded
-// random delays — the paper's adversary that makes every action take "a
-// finite but otherwise unpredictable amount of time". Moves and accesses are
-// counted per agent to validate the O(r·|E|) bound of Theorem 3.1.
+// Concurrency. One goroutine per agent. Every move and whiteboard access
+// passes a scheduler hook — the paper's adversary that makes every action
+// take "a finite but otherwise unpredictable amount of time" — in one of two
+// modes. Free-running, the hook injects seeded random delays; each
+// whiteboard is a mutex-protected sign set with a condition variable so
+// agents can block until a predicate over the signs holds ("waiting for the
+// arrival of another agent"). Under Config.Scheduler, the agents pass a
+// single turn from one to the next, so exactly one runs at a time and a
+// Strategy picks the next at every hook (see sched.go). Moves and accesses
+// are counted per agent to validate the O(r·|E|) bound of Theorem 3.1.
 package sim
 
 import (
@@ -234,7 +237,7 @@ type whiteboard struct {
 	dirty bool // set by writes, used to broadcast waiters
 	// abandoned marks the lock as held by a crashed agent; stallLeft is the
 	// remaining sequence-point budget before a survivor breaks it. Both are
-	// only touched when fault injection is on.
+	// only written under fault injection, by the agent holding the turn.
 	abandoned bool
 	stallLeft int
 }
@@ -353,11 +356,6 @@ type Config struct {
 	// enabling deterministic crash-stop, torn-write, and read-staleness
 	// injection. See FaultInjector and the internal/faults package.
 	Faults FaultInjector
-	// TakeoverAfter is the stall budget of an abandoned whiteboard lock:
-	// how many sequence points surviving agents collectively burn against a
-	// dead agent's lock before breaking it and taking over (default 3).
-	// Only meaningful together with Faults.
-	TakeoverAfter int
 	// ColorSeed, when nonzero, re-seeds only the color-palette shuffle,
 	// leaving every other seed-derived choice (wake set, presentation
 	// orders, per-agent RNGs) exactly as under Seed. It is the seam the
@@ -414,6 +412,10 @@ type Agent struct {
 	fseq         [numFaultOps]int
 	crashPending bool
 	crashHold    bool
+
+	// started is set once the agent has been granted its first turn under
+	// the Scheduler (see turn.yield).
+	started bool
 
 	id int // quantitative identity, only via ID()
 }
@@ -535,19 +537,17 @@ func (a *Agent) Access(f func(b *Board)) error {
 		a.eng.crashed[a.index] = true
 		if a.crashHold {
 			a.crashHold = false
-			a.eng.abandonLocked(wb)
+			a.eng.abandon(wb)
 		}
 		a.eng.trace(a.index, EvCrash, a.node, "torn-write")
 		crashErr = ErrCrashed
 	}
 	if wb.dirty {
 		wb.dirty = false
-		wb.cond.Broadcast()
-		if a.eng.ts != nil {
-			// Ready the agents parked on this board while the writer still
-			// holds its turn, so the next scheduling decision already sees
-			// them (keeps the ready set — and thus replay — deterministic).
-			a.eng.ts.notifyBoard(a.node)
+		if t := a.eng.turn; t != nil {
+			t.notify(a.node)
+		} else {
+			wb.cond.Broadcast()
 		}
 	}
 	return crashErr
@@ -561,11 +561,11 @@ func (a *Agent) Wait(pred func(Signs) bool) (Signs, error) {
 		return nil, err
 	}
 	wb := a.eng.boards[a.node]
-	if ts := a.eng.ts; ts != nil {
-		// Turnstile mode: the agent holds the turn here, so the board cannot
-		// change between the predicate check and block — no lost wakeups.
-		// Blocking hands the turn back; a write readies the agent, and it
-		// re-checks once the strategy grants it again.
+	if t := a.eng.turn; t != nil {
+		// Scheduled mode: the agent holds the turn here, so nobody else
+		// touches the board and no lock is needed. Blocking hands the turn
+		// on; a write readies the agent, and it re-checks once the strategy
+		// grants it again.
 		atomic.AddInt64(&a.accesses, 1)
 		a.eng.cfg.Telemetry.CountAccess(a.phase)
 		for {
@@ -578,14 +578,12 @@ func (a *Agent) Wait(pred func(Signs) bool) (Signs, error) {
 			if err := a.eng.passAbandoned(a, wb); err != nil {
 				return nil, err
 			}
-			wb.mu.Lock()
 			snapshot := make(Signs, len(wb.signs))
 			copy(snapshot, wb.signs)
-			wb.mu.Unlock()
 			if pred(snapshot) {
 				return snapshot, nil
 			}
-			if err := ts.block(a.index, a.node); err != nil {
+			if err := t.block(a, a.node); err != nil {
 				return nil, err
 			}
 		}
@@ -600,7 +598,7 @@ func (a *Agent) Wait(pred func(Signs) bool) (Signs, error) {
 		if pred(snapshot) {
 			return snapshot, nil
 		}
-		if atomic.LoadInt32(&a.eng.aborted) != 0 {
+		if a.eng.aborted.Load() {
 			return nil, ErrAborted
 		}
 		wb.cond.Wait()
@@ -635,7 +633,7 @@ type Result struct {
 	// tests; all-false on fault-free engine runs.
 	Crashed []bool
 	// Takeovers counts abandoned-lock recoveries performed by surviving
-	// agents (see Config.TakeoverAfter).
+	// agents (see FaultAction.HoldLock).
 	Takeovers int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -730,17 +728,15 @@ type engine struct {
 	cfg     Config
 	boards  []*whiteboard
 	agents  []*Agent
-	ts      *turnstile // non-nil when cfg.Scheduler drives the run
-	aborted int32
+	turn    *turn // non-nil when cfg.Scheduler drives the run
+	aborted atomic.Bool
 	started time.Time
 
-	// Fault-plane state: crashed[i] is written only from agent i's own
-	// goroutine and read after the run barrier; takeovers is the
-	// abandoned-lock recovery counter; takeoverAfter the per-lock stall
-	// budget (defaulted from cfg).
-	crashed       []bool
-	takeovers     atomic.Int64
-	takeoverAfter int
+	// Fault-plane state, touched only by the agent holding the turn and
+	// read once the run has drained: crashed[i] marks crash-stopped agents,
+	// takeovers counts abandoned-lock recoveries.
+	crashed   []bool
+	takeovers int64
 
 	presMu sync.Mutex
 	pres   map[[2]int][]int // (agent, node) -> presentation permutation
@@ -783,14 +779,11 @@ func (e *engine) presentation(agent, node, deg int) []int {
 }
 
 // delay injects the adversarial asynchrony before each operation: a seeded
-// random sleep (or a bare yield) in the default mode, or a turnstile step
-// when a scheduling strategy drives the run.
+// random sleep (or a bare yield) in the default mode, or a sequence point of
+// the turn when a scheduling strategy drives the run.
 func (e *engine) delay(a *Agent) error {
-	if atomic.LoadInt32(&e.aborted) != 0 {
-		return ErrAborted
-	}
-	if e.ts != nil {
-		if err := e.ts.step(a.index); err != nil {
+	if e.turn != nil {
+		if err := e.turn.step(a); err != nil {
 			return err
 		}
 		if e.faultsOn() {
@@ -801,13 +794,16 @@ func (e *engine) delay(a *Agent) error {
 		}
 		return nil
 	}
+	if e.aborted.Load() {
+		return ErrAborted
+	}
 	if e.cfg.MaxDelay > 0 {
 		d := time.Duration(a.rng.Int63n(int64(e.cfg.MaxDelay) + 1))
 		time.Sleep(d)
 	} else {
 		runtime.Gosched()
 	}
-	if atomic.LoadInt32(&e.aborted) != 0 {
+	if e.aborted.Load() {
 		return ErrAborted
 	}
 	return nil
@@ -842,13 +838,13 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	if cfg.Faults != nil && cfg.Scheduler == nil {
 		return nil, errors.New("sim: fault injection requires the deterministic Scheduler")
 	}
+	if cfg.Record != nil && cfg.Scheduler == nil {
+		return nil, errors.New("sim: recording a schedule requires the deterministic Scheduler")
+	}
 	if cfg.PortLabels != nil {
 		if err := cfg.PortLabels.Validate(cfg.Graph); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-	}
-	if cfg.TakeoverAfter <= 0 {
-		cfg.TakeoverAfter = 3
 	}
 
 	rng := seeded.New(cfg.Seed)
@@ -862,15 +858,14 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		seedLo = cfg.SymbolSeed
 	}
 	e := &engine{
-		cfg:           cfg,
-		boards:        make([]*whiteboard, cfg.Graph.N()),
-		pres:          make(map[[2]int][]int),
-		seedLo:        seedLo,
-		crashed:       make([]bool, len(cfg.Homes)),
-		takeoverAfter: cfg.TakeoverAfter,
+		cfg:     cfg,
+		boards:  make([]*whiteboard, cfg.Graph.N()),
+		pres:    make(map[[2]int][]int),
+		seedLo:  seedLo,
+		crashed: make([]bool, len(cfg.Homes)),
 	}
 	if cfg.Scheduler != nil {
-		e.ts = newTurnstile(len(cfg.Homes), cfg.Scheduler, cfg.Record)
+		e.turn = newTurn(len(cfg.Homes), cfg.Scheduler, cfg.Record, &e.aborted)
 	}
 	for i := range e.boards {
 		e.boards[i] = newWhiteboard()
@@ -941,21 +936,20 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 
 	start := time.Now()
 	e.started = start
-	// Agents released by a turnstile abort (deadlock, cancellation,
-	// timeout) no longer hold a turn, so their outcome events would land in
-	// goroutine-timing order; they are collected here and traced in agent
-	// order once the pool drains, keeping replayed traces bit-exact. Each
-	// agent writes only its own slot.
-	released := make([]bool, len(e.agents))
+	if e.turn != nil {
+		// Every agent starts ready; its first action is a step, which parks
+		// it until this first grant reaches it.
+		e.turn.pass()
+	}
 	var wg sync.WaitGroup
 	for i := range e.agents {
 		wg.Add(1)
 		go func(a *Agent, i int) {
 			defer wg.Done()
-			if e.ts != nil {
-				// Retiring through the turnstile passes the turn on every
-				// exit path, including protocol errors.
-				defer e.ts.exit(i)
+			if e.turn != nil {
+				// Retiring passes the turn on every exit path, including
+				// protocol errors and the abort unwind.
+				defer e.turn.exit(a)
 			}
 			// Sleep until woken: a sleeping agent's first action is to wait
 			// for a wake sign on its home whiteboard.
@@ -968,10 +962,6 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 			out, err := protocol(a)
 			res.Outcomes[i] = out
 			res.Errors[i] = err
-			if e.ts != nil && e.ts.isAborted() {
-				released[i] = true
-				return
-			}
 			e.trace(i, EvOutcome, a.node, out.Role.String())
 		}(e.agents[i], i)
 	}
@@ -982,14 +972,12 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		close(done)
 	}()
 	var runErr error
-	// abort unwinds every agent: flag the engine, release the turnstile,
-	// and broadcast on all whiteboards until the pool drains so no waiter
-	// sleeps through the flag.
+	// abort unwinds every agent: flag the engine (the turn holder sees the
+	// flag at its next sequence point and starts the serial unwind), and
+	// broadcast on all whiteboards until the pool drains so no free-running
+	// waiter sleeps through the flag.
 	abort := func(cause error) {
-		atomic.StoreInt32(&e.aborted, 1)
-		if e.ts != nil {
-			e.ts.abort()
-		}
+		e.aborted.Store(true)
 		for {
 			for _, wb := range e.boards {
 				wb.mu.Lock()
@@ -1017,18 +1005,13 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		abort(fmt.Errorf("sim: %w after %v", ErrAborted, cfg.Timeout))
 	}
 	res.Elapsed = time.Since(start)
-	for i, r := range released {
-		if r {
-			e.trace(i, EvOutcome, e.agents[i].node, res.Outcomes[i].Role.String())
-		}
-	}
 	for i := range e.agents {
 		res.Moves[i] = e.agents[i].Moves()
 		res.Accesses[i] = e.agents[i].Accesses()
 	}
 	res.Crashed = e.crashed
-	res.Takeovers = e.takeovers.Load()
-	if e.ts != nil && e.ts.deadlocked() && runErr == nil {
+	res.Takeovers = e.takeovers
+	if e.turn != nil && e.turn.deadlock && runErr == nil {
 		runErr = ErrDeadlock
 	}
 	for i, err := range res.Errors {

@@ -349,6 +349,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: b.Graph(), Homes: []int{0}}, nil); err == nil {
 		t.Error("disconnected graph accepted")
 	}
+	if _, err := Run(Config{Graph: graph.Path(3), Homes: []int{0}, Record: &Schedule{}}, nil); err == nil {
+		t.Error("Record without Scheduler accepted")
+	}
 }
 
 func TestSignsHelpers(t *testing.T) {

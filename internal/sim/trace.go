@@ -83,9 +83,7 @@ func (e *engine) trace(agent int, kind EventKind, node int, tag string) {
 	// Reading the agent's phase without synchronization is safe: every
 	// event kind is emitted from the owning agent's goroutine (moves and
 	// whiteboard events from protocol calls, wake/outcome from the agent's
-	// run loop), the same goroutine that calls SetPhase — except the
-	// outcomes of abort-released agents, which Run emits after the agent
-	// pool has drained.
+	// run loop), the same goroutine that calls SetPhase.
 	e.cfg.Tracer(Event{
 		At:    time.Since(e.started),
 		Agent: agent,

@@ -119,13 +119,9 @@ type RunConfig struct {
 	// Faults, when set, injects deterministic faults (crash-stops, torn
 	// whiteboard writes, bounded read staleness) at the simulator's sequence
 	// points. Requires Scheduler — the fault plane composes with the
-	// serializing turnstile so (schedule, fault plan) replays are exact.
+	// serializing scheduler so (schedule, fault plan) replays are exact.
 	// Strategy-driven injectors and recordable plans live in internal/faults.
 	Faults FaultInjector
-	// TakeoverAfter is the number of sequence points a surviving agent burns
-	// at a whiteboard abandoned by a crashed lock-holder before breaking the
-	// lock and taking over (default 3; only meaningful with Faults).
-	TakeoverAfter int
 }
 
 // Strategy decides which ready agent runs at each sequence point of a
@@ -285,7 +281,6 @@ func simConfig(g *Graph, homes []int, cfg RunConfig, quant bool) sim.Config {
 		Scheduler:        cfg.Scheduler,
 		Record:           cfg.RecordSchedule,
 		Faults:           cfg.Faults,
-		TakeoverAfter:    cfg.TakeoverAfter,
 	}
 }
 
