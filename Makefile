@@ -23,13 +23,14 @@ race:
 	$(GO) test -race ./...
 
 # Determinism stress (same invocation as CI): every test that claims
-# bit-exact replay or schedule-independent records, 20 times at 1, 2 and 4
-# procs, so a timing-dependent result fails here instead of intermittently.
-DETERMINISM_TESTS = TestEngineDigestGolden|TestRecordReplayBitExact|TestCampaignDeterminism|TestScheduledDeterminism|TestScheduleRecordReplay|TestExploreViolatingRunReplays|TestWireFaultReplayRoundTrip|TestCrossBackendConformance|TestZooCrossBackendConformance|TestStrategyDeterminism|TestParallelClassesDeterministic
+# bit-exact replay, schedule-independent records or Results untouched by
+# pooled search scratch, 20 times at 1, 2 and 4 procs, so a
+# timing-dependent result fails here instead of intermittently.
+DETERMINISM_TESTS = TestEngineDigestGolden|TestRecordReplayBitExact|TestCampaignDeterminism|TestScheduledDeterminism|TestScheduleRecordReplay|TestExploreViolatingRunReplays|TestWireFaultReplayRoundTrip|TestCrossBackendConformance|TestZooCrossBackendConformance|TestStrategyDeterminism|TestParallelClassesDeterministic|TestPooledSearchIsolation
 determinism:
 	$(GO) test -count=20 -cpu 1,2,4 -run '^($(DETERMINISM_TESTS))$$' \
 		./internal/faults ./internal/campaign ./internal/sim ./internal/adversary \
-		./internal/runtime ./internal/zoo ./internal/order
+		./internal/runtime ./internal/zoo ./internal/order ./internal/iso
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -263,6 +263,17 @@ func exploreOne(cfg Config, strat, fault string, seed int64, spec elect.Invarian
 	return rec
 }
 
+// StrategyClasses returns the classOf argument NewStrategy needs for the
+// named strategy. Only same-class reads class values, so only it pays for
+// AgentClasses' canonical searches; every other strategy gets one zero
+// entry per agent (starve reads only the length, the agent count).
+func StrategyClasses(name string, g *graph.Graph, homes []int) []int {
+	if name == StratSameClass {
+		return AgentClasses(g, homes)
+	}
+	return make([]int, len(homes))
+}
+
 // AgentClasses maps each agent to the automorphism-equivalence class index
 // of its home node under the bicolored instance — the input the same-class
 // strategy targets. Exported for callers (campaign, CLIs) that construct

@@ -212,6 +212,44 @@ func TestNewStrategyUnknown(t *testing.T) {
 	}
 }
 
+// TestStrategyClassesDecideAlike: a strategy built from StrategyClasses
+// makes the same picks as one built from the full AgentClasses map, on
+// every seed instance and strategy, so the class computation is skipped
+// only where no decision reads it.
+func TestStrategyClassesDecideAlike(t *testing.T) {
+	for _, in := range sweepInstances {
+		full := AgentClasses(in.g, in.homes)
+		r := len(in.homes)
+		for _, name := range Strategies() {
+			for seed := int64(1); seed <= 3; seed++ {
+				want, err := NewStrategy(name, seed, full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := NewStrategy(name, seed, StrategyClasses(name, in.g, in.homes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ready := make([]int, 0, r)
+				for step := 0; step < 200; step++ {
+					ready = ready[:0]
+					for a := 0; a < r; a++ {
+						if (step*7+a*3)%(a+2) != 0 {
+							ready = append(ready, a)
+						}
+					}
+					if len(ready) == 0 {
+						ready = append(ready, step%r)
+					}
+					if w, g := want.Next(ready, step), got.Next(ready, step); w != g {
+						t.Fatalf("%s %s seed %d step %d: picked %d, want %d", in.name, name, seed, step, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExploreFaultAxis crosses scheduling strategies with fault strategies:
 // the sweep must stay safety-clean (fault-aware spec), every fault run must
 // carry its fault manifest, and at least one run must actually crash an

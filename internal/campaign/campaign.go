@@ -486,10 +486,11 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 		}
 	}
 	// Strategy runs are serialized by the adversary's scheduler; the
-	// class map is schedule-independent, so compute it once per run.
+	// class map is schedule-independent, so compute it once per run, and
+	// only for the strategy that reads it.
 	var classOf []int
 	if run.Strategy != "" {
-		classOf = adversary.AgentClasses(run.G, run.Homes)
+		classOf = adversary.StrategyClasses(run.Strategy, run.G, run.Homes)
 	}
 	// tRun collects the final attempt's per-phase counters (fresh per
 	// attempt so a retried run does not double-count); the deferred block

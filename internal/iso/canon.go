@@ -1,13 +1,18 @@
 package iso
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/perm"
 )
 
 // canonState drives one canonical labeling search. All scratch (partition
-// levels, refinement worklists, the path's word prefix, orbit union-finds)
-// is owned here and reused across the whole backtracking tree, so the search
-// allocates O(depth) level structures and otherwise runs allocation-free.
+// levels, refinement worklists, the path's word prefix, orbit union-finds,
+// the dense input's CSR) is owned here and reused across the whole
+// backtracking tree, and states themselves are pooled across searches
+// (acquireState/release): a search on a warm state allocates only the
+// slices of its returned Result.
 //
 // One state serves both engines: the dense engine (c != nil) serializes the
 // n+n² growing-principal-submatrix word of DESIGN.md §8, the sparse engine
@@ -15,15 +20,21 @@ import (
 type canonState struct {
 	c      *Colored // dense input (nil in sparse mode)
 	colors []int    // vertex colors (c.Color or the Sparse's colors)
-	g      *csr
+	g      *csr     // &denseCSR in dense mode, the Sparse's own CSR otherwise
 	n      int
 	sparse bool
 
-	// Search outcome.
+	// denseCSR holds the dense input's arcs, rebuilt in place per search.
+	denseCSR csr
+
+	// Search outcome. best, bperm and autos become the returned Result's
+	// Word, Perm and AutoGens, so they are detached on release and never
+	// reused; bpermInv and cand are scratch.
 	best     []byte      // minimum leaf word so far (full serialization)
 	bperm    perm.Perm   // ordering that produced best (vertex -> position)
 	bpermInv []int       // position -> vertex, maintained with bperm
 	autos    []perm.Perm // discovered automorphisms (see leaf handling)
+	cand     perm.Perm   // candidate automorphism at an equal leaf
 	bestGen  int         // bumped every time best is replaced
 
 	// prefix is the serialized word of the current path, valid up to the
@@ -38,7 +49,10 @@ type canonState struct {
 	// the orbit pruning at each node is relative to it.
 	base []int
 
+	// levels pools the partition state per search depth; the first fitted
+	// of them are sized for the current n (see level).
 	levels []*level
+	fitted int
 
 	// leaves counts visited leaves; when maxLeaves > 0 and the count would
 	// exceed it, budgetHit aborts the search (CanonicalOpt returns
@@ -92,61 +106,110 @@ type canonState struct {
 	blkIdx []int32
 }
 
-func newCanonState(c *Colored) *canonState {
-	st := &canonState{c: c, colors: c.Color, g: buildCSR(c)}
-	st.init(c.N, c.N+c.N*c.N)
-	return st
-}
+// statePool recycles canonStates across searches. A state reused for an
+// n-vertex search keeps every buffer whose capacity fits n and clears only
+// the first n entries of those that must start zeroed, so a small search
+// never pays for a large predecessor's buffers.
+var statePool = sync.Pool{New: func() any { return new(canonState) }}
 
-func newSparseCanonState(sp *Sparse) *canonState {
-	st := &canonState{colors: sp.Color, g: sp.g, sparse: true}
-	st.init(sp.N, 0)
-	st.posOf = make([]int32, sp.N)
+// acquireState returns a pooled state ready to search the dense input c or,
+// when c is nil, the sparse input sp. The caller owns it until release.
+func acquireState(c *Colored, sp *Sparse) *canonState {
+	st := statePool.Get().(*canonState)
+	if c != nil {
+		st.c, st.colors = c, c.Color
+		st.denseCSR.build(c)
+		st.g = &st.denseCSR
+		st.fitScratch(c.N, c.N+c.N*c.N)
+		return st
+	}
+	n := sp.N
+	st.colors, st.g, st.sparse = sp.Color, sp.g, true
+	st.fitScratch(n, 0)
+	st.posOf = fit(st.posOf, n)
 	for i := range st.posOf {
 		st.posOf[i] = -1
 	}
-	st.blkOut = make([]int32, sp.N)
-	st.blkIn = make([]int32, sp.N)
-	st.blkIdx = make([]int32, 0, sp.N)
+	st.blkOut = fitZero(st.blkOut, n)
+	st.blkIn = fitZero(st.blkIn, n)
+	st.blkIdx = fit(st.blkIdx, n)[:0]
 	return st
 }
 
-// init allocates the mode-independent scratch for an n-vertex search.
-func (st *canonState) init(n, prefixCap int) {
-	st.n = n
-	st.prefix = make([]byte, 0, prefixCap)
-	st.base = make([]int, 0, n)
-	st.cellOf = make([]int32, n)
-	st.cellEnd = make([]int32, n+1)
-	st.cntOut = make([]int32, n)
-	st.cntIn = make([]int32, n)
-	st.touched = make([]int32, 0, n)
-	st.affCells = make([]int32, 0, n)
-	st.fragBounds = make([]int32, 0, n)
-	st.fragList = make([]int32, 0, n)
-	st.fragParent = make([]int32, n)
-	st.splitParents = make([]int32, 0, n)
-	st.passEnd = make([]int32, n+1)
-	st.keysA = make([]int32, 0, 2*n)
-	st.keysB = make([]int32, 0, 2*n)
-	st.cellMark = newBitset(n + 1)
-	st.isFrag = newBitset(n + 1)
-	st.parentMark = newBitset(n + 1)
-	st.sortTmp = make([]int, n)
+// release returns st to the pool. The Result slices (best, bperm, autos)
+// are detached first, so they stay owned by the Result that carries them,
+// and the input and cancellation references are dropped.
+func (st *canonState) release() {
+	st.c, st.colors, st.g, st.sparse = nil, nil, nil, false
+	st.best, st.bperm, st.autos = nil, nil, nil
+	st.bestGen, st.leaves, st.maxLeaves, st.budgetHit = 0, 0, 0, false
+	st.done, st.stopped = nil, false
+	st.nodes, st.orbitPrunes, st.prefixPrunes = 0, 0, 0
+	statePool.Put(st)
 }
 
-// level returns the pooled partition state for the given search depth,
-// allocating it on first use.
+// fitScratch sizes the mode-independent scratch for an n-vertex search.
+// Buffers that are fully written before they are read keep stale contents;
+// the count arrays and bitsets, which the refinement expects zeroed, are
+// cleared over their first n entries.
+func (st *canonState) fitScratch(n, prefixCap int) {
+	st.n = n
+	st.fitted = 0
+	st.prefix = fit(st.prefix, prefixCap)[:0]
+	st.base = fit(st.base, n)[:0]
+	st.bpermInv = fit(st.bpermInv, n)
+	st.cand = fit(st.cand, n)
+	st.cellOf = fit(st.cellOf, n)
+	st.cellEnd = fit(st.cellEnd, n+1)
+	st.cntOut = fitZero(st.cntOut, n)
+	st.cntIn = fitZero(st.cntIn, n)
+	st.touched = fit(st.touched, n)[:0]
+	st.affCells = fit(st.affCells, n)[:0]
+	st.fragBounds = fit(st.fragBounds, n)[:0]
+	st.fragList = fit(st.fragList, n)[:0]
+	st.fragParent = fit(st.fragParent, n)
+	st.splitParents = fit(st.splitParents, n)[:0]
+	st.passEnd = fit(st.passEnd, n+1)
+	st.keysA = fit(st.keysA, 2*n)[:0]
+	st.keysB = fit(st.keysB, 2*n)[:0]
+	words := (n + 1 + 63) / 64
+	st.cellMark = fitZero(st.cellMark, words)
+	st.isFrag = fitZero(st.isFrag, words)
+	st.parentMark = fitZero(st.parentMark, words)
+	st.sortTmp = fit(st.sortTmp, n)
+}
+
+// fit returns s resliced to length n, or a fresh slice when its capacity
+// is too small. The contents are unspecified.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fitZero is fit with the n entries cleared.
+func fitZero[T any](s []T, n int) []T {
+	s = fit(s, n)
+	clear(s)
+	return s
+}
+
+// level returns the partition state for the given search depth, sizing
+// pooled levels for the current n on first use in this search and
+// allocating new ones only beyond the deepest level any pooled search
+// reached.
 func (st *canonState) level(depth int) *level {
 	for len(st.levels) <= depth {
-		lv := &level{
-			lab:       make([]int, st.n),
-			cellStart: make([]int32, 0, st.n+1),
-			uf:        make([]int32, st.n),
-			ufGen:     -1,
-		}
-		lv.tried = make([]int, 0, st.n)
-		st.levels = append(st.levels, lv)
+		st.levels = append(st.levels, new(level))
+	}
+	for ; st.fitted <= depth; st.fitted++ {
+		lv := st.levels[st.fitted]
+		lv.lab = fit(lv.lab, st.n)
+		lv.cellStart = fit(lv.cellStart, st.n+1)[:0]
+		lv.uf = fit(lv.uf, st.n)
+		lv.tried = fit(lv.tried, st.n)[:0]
+		lv.ncells, lv.ufGen = 0, -1
 	}
 	return st.levels[depth]
 }
@@ -381,7 +444,6 @@ func (st *canonState) leaf(lv *level, cmp int) {
 		st.best = append(st.best[:0], st.prefix...)
 		if st.bperm == nil {
 			st.bperm = make(perm.Perm, st.n)
-			st.bpermInv = make([]int, st.n)
 		}
 		for pos, v := range lv.lab {
 			st.bperm[v] = pos
@@ -390,13 +452,14 @@ func (st *canonState) leaf(lv *level, cmp int) {
 		st.bestGen++
 	case 0:
 		// Equal to best: lab and bperm induce the same canonical graph,
-		// so bperm⁻¹∘cand is an automorphism of c.
-		a := make(perm.Perm, st.n)
+		// so bperm⁻¹∘cand is an automorphism of c. The candidate is built
+		// in scratch and copied out only when it is one.
+		a := st.cand
 		for pos, v := range lv.lab {
 			a[v] = st.bpermInv[pos]
 		}
 		if !a.IsIdentity() && st.isAutomorphism(a) {
-			st.autos = append(st.autos, a)
+			st.autos = append(st.autos, slices.Clone(a))
 		}
 	}
 }

@@ -20,9 +20,11 @@
 // hot paths here are written allocation-free: integer signature refinement
 // over flat scratch buffers (no fmt, no strings, no maps), incremental
 // best-word prefix pruning, and stabilizer-orbit pruning with cached
-// union-find state. DESIGN.md §8 describes the engine; reference.go keeps
-// the original (pre-optimization) engine for differential tests and for
-// measuring the speedup (BENCH_iso.json).
+// union-find state. The scratch itself is pooled across searches, so a
+// search on warm scratch allocates only the Result it returns, whose slices
+// belong to the caller. DESIGN.md §8 describes the engine; reference.go
+// keeps the original (pre-optimization) engine for differential tests and
+// for measuring the speedup (BENCH_iso.json).
 package iso
 
 import (
@@ -229,7 +231,7 @@ func CanonicalBudget(c *Colored, maxLeaves int) (*Result, error) {
 	if c.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
-	return canonicalRun(newCanonState(c), Options{MaxLeaves: maxLeaves})
+	return canonicalRun(acquireState(c, nil), Options{MaxLeaves: maxLeaves})
 }
 
 // Options tunes a canonical labeling computation (CanonicalOpt,
@@ -256,12 +258,13 @@ func CanonicalOpt(c *Colored, o Options) (*Result, error) {
 		// frozen engine is unbudgeted and uncancelable.
 		return referenceCanonical(c), nil
 	}
-	return canonicalRun(newCanonState(c), o)
+	return canonicalRun(acquireState(c, nil), o)
 }
 
 // canonicalRun executes one search over st under the options' budget and
-// cancellation signal.
+// cancellation signal, then releases st.
 func canonicalRun(st *canonState, o Options) (*Result, error) {
+	defer st.release()
 	st.maxLeaves = o.MaxLeaves
 	if o.Ctx != nil {
 		st.done = o.Ctx.Done()
@@ -286,7 +289,8 @@ func EquitablePartition(c *Colored) [][]int {
 	if c.N == 0 {
 		return nil
 	}
-	st := newCanonState(c)
+	st := acquireState(c, nil)
+	defer st.release()
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)

@@ -23,7 +23,9 @@ type csr struct {
 	inMult  []int32
 }
 
-func buildCSR(c *Colored) *csr {
+// build fills s with c's arcs, reusing its arrays where their capacity
+// suffices (a pooled search state rebuilds its dense CSR this way).
+func (s *csr) build(c *Colored) {
 	n := c.N
 	arcs := 0
 	for u := 0; u < n; u++ {
@@ -33,11 +35,10 @@ func buildCSR(c *Colored) *csr {
 			}
 		}
 	}
-	s := &csr{
-		outStart: make([]int32, n+1), inStart: make([]int32, n+1),
-		outDst: make([]int32, 0, arcs), outMult: make([]int32, 0, arcs),
-		inDst: make([]int32, 0, arcs), inMult: make([]int32, 0, arcs),
-	}
+	s.outStart, s.inStart = fit(s.outStart, n+1), fit(s.inStart, n+1)
+	s.outStart[0], s.inStart[0] = 0, 0
+	s.outDst, s.outMult = fit(s.outDst, arcs)[:0], fit(s.outMult, arcs)[:0]
+	s.inDst, s.inMult = fit(s.inDst, arcs)[:0], fit(s.inMult, arcs)[:0]
 	for u := 0; u < n; u++ {
 		for v, m := range c.Adj[u] {
 			if m != 0 {
@@ -56,12 +57,11 @@ func buildCSR(c *Colored) *csr {
 		}
 		s.inStart[v+1] = int32(len(s.inDst))
 	}
-	return s
 }
 
 // level is one node's partition state in the backtracking search. Levels are
-// pooled in canonState and reused across sibling branches, so a search
-// allocates at most depth-many of them.
+// pooled in canonState, reused across sibling branches and, with the state,
+// across searches.
 type level struct {
 	// lab lists the vertices in partition order; cell k occupies
 	// lab[cellStart[k]:cellStart[k+1]].

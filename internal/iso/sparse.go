@@ -74,7 +74,9 @@ func SparseFromGraph(gr *graph.Graph, colors []int) *Sparse {
 // SparseFromColored converts a dense Colored (primarily for differential
 // tests between the two engines).
 func SparseFromColored(c *Colored) *Sparse {
-	return &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: buildCSR(c)}
+	g := new(csr)
+	g.build(c)
+	return &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: g}
 }
 
 // SparseFromArcs builds a Sparse digraph on n vertices from (u, v) arc
@@ -224,7 +226,7 @@ func CanonicalSparseOpt(sp *Sparse, o Options) (*Result, error) {
 	if sp.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
-	return canonicalRun(newSparseCanonState(sp), o)
+	return canonicalRun(acquireState(nil, sp), o)
 }
 
 // SparseEquitablePartition returns the coarsest equitable refinement of
@@ -234,7 +236,8 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	if sp.N == 0 {
 		return nil
 	}
-	st := newSparseCanonState(sp)
+	st := acquireState(nil, sp)
+	defer st.release()
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)
@@ -282,7 +285,8 @@ func SparseOrbitsWith(sp *Sparse, r *Result, o Options) ([][]int, error) {
 			ufUnion(uf, int32(i), int32(ai))
 		}
 	}
-	st := newSparseCanonState(sp)
+	st := acquireState(nil, sp)
+	defer st.release()
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)

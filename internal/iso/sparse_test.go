@@ -105,7 +105,8 @@ func TestSparseAutomorphismsValid(t *testing.T) {
 // (appendSparseBlock only looks at positions j <= i, so placing everything
 // up front is safe). It is the sparse analogue of Colored.word.
 func sparseWordOf(sp *Sparse, p perm.Perm) []byte {
-	st := newSparseCanonState(sp)
+	st := acquireState(nil, sp)
+	defer st.release()
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)

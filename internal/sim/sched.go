@@ -17,8 +17,8 @@ import (
 // replayable (see Replay) and lets internal/adversary search the schedule
 // space for invariant violations.
 //
-// The ready slice is sorted ascending, non-empty, and freshly allocated per
-// call (strategies may retain it). Next must return one of its elements; an
+// The ready slice is sorted ascending, non-empty, and valid only during the
+// call: the engine reuses its backing array for the next decision. Next must return one of its elements; an
 // out-of-set pick is corrected to ready[0] by the engine (and counted as a
 // divergence by Replay), so a buggy or fuzz-mutated strategy degrades to a
 // legal schedule instead of wedging the run.
@@ -159,6 +159,7 @@ type turn struct {
 
 	state     []int
 	blockedOn []int // node an agBlocked agent is parked on
+	ready     []int // the decision's ready set, reused by every pass
 	grant     []chan struct{}
 	nsteps    int
 	aborting  bool
@@ -172,6 +173,7 @@ func newTurn(n int, strategy Strategy, rec *Schedule, stop *atomic.Bool) *turn {
 		stop:      stop,
 		state:     make([]int, n),
 		blockedOn: make([]int, n),
+		ready:     make([]int, 0, n),
 		grant:     make([]chan struct{}, n),
 	}
 	for i := range t.grant {
@@ -233,7 +235,7 @@ func (t *turn) pass() {
 		t.aborting = true
 	}
 	if !t.aborting {
-		ready := make([]int, 0, len(t.state))
+		ready := t.ready[:0]
 		blocked := 0
 		for a, st := range t.state {
 			switch st {
